@@ -202,32 +202,16 @@ class Network:
         if src == dst:
             # Loopback: latency-free memcpy, not subject to NIC contention.
             dur = nbytes / LOOPBACK_RATE
-
-            def _loop():
-                yield self.engine.timeout(dur)
-                self.bytes_delivered += nbytes
-                done.succeed(dur)
-
-            self.engine.process(_loop(), name=f"loopback:{src}")
+            self.engine.call_later(dur, self._loopback_done, done, nbytes, dur)
             return done
 
         if not self.reachable(src, dst):
-            def _drop():
-                yield self.engine.timeout(self.cal.net_latency)
-                done.fail(PartitionError(f"{src}->{dst}: unreachable"))
-                done.defuse()
-
-            self.engine.process(_drop(), name=f"xfer-drop:{src}->{dst}")
+            self.engine.call_later(self.cal.net_latency, self._drop, done, src, dst)
             return done
 
         if nbytes == 0:
             dur = self._latency(src, dst)
-
-            def _empty():
-                yield self.engine.timeout(dur)
-                done.succeed(dur)
-
-            self.engine.process(_empty(), name=f"xfer0:{src}->{dst}")
+            self.engine.call_later(dur, done.succeed, dur)
             return done
 
         links = (f"{src}:up", f"{dst}:down")
@@ -238,6 +222,15 @@ class Network:
             self._links[l].flows.add(flow)
         self._recompute_and_schedule()
         return done
+
+    def _loopback_done(self, done: Event, nbytes: float, dur: float) -> None:
+        self.bytes_delivered += nbytes
+        done.succeed(dur)
+
+    @staticmethod
+    def _drop(done: Event, src: str, dst: str) -> None:
+        done.fail(PartitionError(f"{src}->{dst}: unreachable"))
+        done.defuse()
 
     def active_flow_count(self) -> int:
         return len(self._flows)
@@ -309,32 +302,30 @@ class Network:
             for f in self._flows
             if f.rate > 0 and f.remaining / f.rate <= next_done * (1 + 1e-9)
         ]
+        self.engine.call_later(next_done, self._on_timer, token, expected)
 
-        def _timer():
-            yield self.engine.timeout(next_done)
-            if token != self._timer_token:
-                return  # superseded by a newer rate change
-            self._advance()
-            for f in expected:
-                f.remaining = 0.0
-            finished = [f for f in self._flows if f.remaining <= 1e-9]
-            for f in finished:
-                self._flows.discard(f)
-                for lname in f.links:
-                    self._links[lname].flows.discard(f)
-                self.bytes_delivered += f.size
-                self._complete(f)
-            self._recompute_and_schedule()
+    def _on_timer(self, token: int, expected: list[Flow]) -> None:
+        """Finish the flows the timer armed with *token* was due for.
 
-        self.engine.process(_timer(), name="net-timer")
+        Timers cannot be cancelled: a rate change arms a new one under a
+        fresh token, and the superseded timer fires and returns.
+        """
+        if token != self._timer_token:
+            return  # superseded by a newer rate change
+        self._advance()
+        for f in expected:
+            f.remaining = 0.0
+        finished = [f for f in self._flows if f.remaining <= 1e-9]
+        for f in finished:
+            self._flows.discard(f)
+            for lname in f.links:
+                self._links[lname].flows.discard(f)
+            self.bytes_delivered += f.size
+            self._complete(f)
+        self._recompute_and_schedule()
 
     def _complete(self, flow: Flow) -> None:
         """Deliver the completion event after propagation latency."""
         latency = self._latency(flow.src, flow.dst)
         duration = self.engine.now - flow.started + latency
-
-        def _finish():
-            yield self.engine.timeout(latency)
-            flow.done.succeed(duration)
-
-        self.engine.process(_finish(), name=f"xfer-done:{flow.src}->{flow.dst}")
+        self.engine.call_later(latency, flow.done.succeed, duration)

@@ -5,6 +5,13 @@ each field is analyzed separately and postings record (doc, field, term
 frequency, positions).  Segments are immutable once built and can be
 merged (Nutch/Lucene's segment model) and serialized to bytes for storage
 in HDFS.
+
+Query serving reads far more often than a re-crawl writes, so the index
+owns the statistics derived from its contents -- document frequencies,
+per-term scores, a forward index and executed results -- and builds each
+lazily, once per *generation*.  Every mutator starts a new generation by
+dropping all of them; code outside this class must mutate only through
+those methods.
 """
 
 from __future__ import annotations
@@ -48,12 +55,27 @@ class InvertedIndex:
         self.postings: dict[str, list[Posting]] = {}
         self.docs: dict[str, Document] = {}
         self.field_lengths: dict[tuple[str, str], int] = {}  # (doc, field) -> tokens
+        # derived statistics of the current generation, built lazily
+        self._df: dict[str, int] = {}
+        self._forward: dict[str, tuple[tuple[str, int], ...]] | None = None
+        #: term -> partial scores per doc (scoring.score_term)
+        self.score_cache: dict[str, dict[str, float]] = {}
+        #: (query string, limit) -> ranked hits (query.execute)
+        self.result_cache: dict[tuple[str, int], tuple] = {}
+
+    def _invalidate(self) -> None:
+        """Start a new generation: drop every derived statistic."""
+        self._df.clear()
+        self._forward = None
+        self.score_cache.clear()
+        self.result_cache.clear()
 
     # -- building ----------------------------------------------------------------
 
     def add(self, doc: Document) -> None:
         if doc.doc_id in self.docs:
             raise SearchError(f"duplicate document id {doc.doc_id}")
+        self._invalidate()
         self.docs[doc.doc_id] = doc
         for fname, text in doc.fields.items():
             terms = analyze(text)
@@ -68,10 +90,12 @@ class InvertedIndex:
 
     def add_posting(self, term: str, posting: Posting) -> None:
         """Low-level insert used by the MapReduce index builder."""
+        self._invalidate()
         self.postings.setdefault(term, []).append(posting)
 
     def register_doc(self, doc: Document, lengths: dict[str, int]) -> None:
         """Register a document without re-analyzing (MapReduce builder)."""
+        self._invalidate()
         self.docs[doc.doc_id] = doc
         for fname, n in lengths.items():
             self.field_lengths[(doc.doc_id, fname)] = n
@@ -81,13 +105,30 @@ class InvertedIndex:
         dup = self.docs.keys() & other.docs.keys()
         if dup:
             raise SearchError(f"merge would duplicate documents: {sorted(dup)[:3]}")
+        self._invalidate()
         self.docs.update(other.docs)
         self.field_lengths.update(other.field_lengths)
         for term, posts in other.postings.items():
             self.postings.setdefault(term, []).extend(posts)
 
+    def remove(self, doc_id: str) -> None:
+        """Drop *doc_id* with its postings and field lengths."""
+        if doc_id not in self.docs:
+            raise SearchError(f"no document {doc_id!r}")
+        self._invalidate()
+        del self.docs[doc_id]
+        for term in list(self.postings):
+            kept = [p for p in self.postings[term] if p.doc_id != doc_id]
+            if kept:
+                self.postings[term] = kept
+            else:
+                del self.postings[term]
+        for key in [k for k in self.field_lengths if k[0] == doc_id]:
+            del self.field_lengths[key]
+
     def finalize(self) -> None:
         """Sort postings for deterministic scoring/iteration."""
+        self._invalidate()
         for posts in self.postings.values():
             posts.sort(key=lambda p: (p.doc_id, p.field))
 
@@ -98,7 +139,20 @@ class InvertedIndex:
         return len(self.docs)
 
     def doc_frequency(self, term: str) -> int:
-        return len({p.doc_id for p in self.postings.get(term, [])})
+        df = self._df.get(term)
+        if df is None:
+            df = self._df[term] = len({p.doc_id for p in self.postings.get(term, [])})
+        return df
+
+    def forward(self, doc_id: str) -> tuple[tuple[str, int], ...]:
+        """*doc_id*'s ``(term, tf)`` pairs, one per posting, in postings order."""
+        if self._forward is None:
+            fwd: dict[str, list[tuple[str, int]]] = {}
+            for term, posts in self.postings.items():
+                for p in posts:
+                    fwd.setdefault(p.doc_id, []).append((term, p.tf))
+            self._forward = {d: tuple(pairs) for d, pairs in fwd.items()}
+        return self._forward.get(doc_id, ())
 
     def terms(self) -> list[str]:
         return sorted(self.postings)

@@ -19,6 +19,9 @@ from .analyzer import analyze_terms
 from .index import InvertedIndex
 from .scoring import combine, coordination_factor, score_term
 
+#: bound on an index's executed-result cache: a full cache is emptied
+RESULT_CACHE_MAX = 1024
+
 _CLAUSE = re.compile(r'(?P<req>[+-])?(?:(?P<field>\w+):)?(?:"(?P<phrase>[^"]*)"|(?P<term>\S+))')
 
 
@@ -79,9 +82,8 @@ def _phrase_docs(index: InvertedIndex, terms: list[str], field_name: str | None)
     for p0 in first:
         if field_name and p0.field != field_name:
             continue
-        starts = set(p0.positions)
         doc, fld = p0.doc_id, p0.field
-        ok_starts = starts
+        ok_starts = set(p0.positions)
         good = True
         for off, term in enumerate(terms[1:], start=1):
             match = None
@@ -92,7 +94,8 @@ def _phrase_docs(index: InvertedIndex, terms: list[str], field_name: str | None)
             if match is None:
                 good = False
                 break
-            ok_starts = {s for s in ok_starts if s + off in set(match.positions)}
+            positions = set(match.positions)
+            ok_starts = {s for s in ok_starts if s + off in positions}
             if not ok_starts:
                 good = False
                 break
@@ -101,10 +104,10 @@ def _phrase_docs(index: InvertedIndex, terms: list[str], field_name: str | None)
     return candidates
 
 
-def _clause_scores(index: InvertedIndex, clause: Clause, boosts) -> dict[str, float]:
+def _clause_scores(index: InvertedIndex, clause: Clause) -> dict[str, float]:
     partials = []
     for term in clause.terms:
-        scores = score_term(index, term, boosts)
+        scores = score_term(index, term)
         if clause.field_name:
             allowed = {
                 p.doc_id
@@ -120,25 +123,32 @@ def _clause_scores(index: InvertedIndex, clause: Clause, boosts) -> dict[str, fl
     return total
 
 
-def execute(
-    index: InvertedIndex,
-    query: "ParsedQuery | str",
-    *,
-    limit: int = 10,
-    boosts: dict[str, float] | None = None,
-) -> list[SearchHit]:
-    """Run a query, returning ranked hits (deterministic tie-break by doc id)."""
-    if isinstance(query, str):
-        query = parse_query(query)
+def execute(index: InvertedIndex, query: str, *, limit: int = 10) -> list[SearchHit]:
+    """Run a query, returning ranked hits (deterministic tie-break by doc id).
+
+    A query string is ranked once per index generation; the caller always
+    gets a fresh list.
+    """
+    cache = index.result_cache
+    key = (query, limit)
+    hits = cache.get(key)
+    if hits is None:
+        if len(cache) >= RESULT_CACHE_MAX:
+            cache.clear()
+        hits = cache[key] = _rank(index, parse_query(query), limit)
+    return list(hits)
+
+
+def _rank(index: InvertedIndex, query: ParsedQuery, limit: int) -> tuple[SearchHit, ...]:
     if query.is_empty:
-        return []
+        return ()
 
     positive = [c for c in query.clauses if not c.prohibited]
     negative = [c for c in query.clauses if c.prohibited]
     if not positive:
-        return []
+        return ()
 
-    clause_results = [_clause_scores(index, c, boosts) for c in positive]
+    clause_results = [_clause_scores(index, c) for c in positive]
     total = combine(*clause_results)
 
     # MUST: drop docs missing a required clause
@@ -147,7 +157,7 @@ def execute(
             total = {d: s for d, s in total.items() if d in scores}
     # MUST_NOT: drop docs matching a prohibited clause
     for c in negative:
-        bad = _clause_scores(index, c, boosts).keys()
+        bad = _clause_scores(index, c).keys()
         total = {d: s for d, s in total.items() if d not in bad}
 
     n_clauses = len(positive)
@@ -163,4 +173,4 @@ def execute(
         title = doc.fields.get("title", doc_id)
         desc = doc.fields.get("description", "")
         hits.append(SearchHit(doc_id, s, title, desc[:120]))
-    return hits
+    return tuple(hits)

@@ -28,21 +28,22 @@ def idf(index: InvertedIndex, term: str) -> float:
     return 1.0 + math.log((n + 1) / (df + 1))
 
 
-def score_term(
-    index: InvertedIndex,
-    term: str,
-    boosts: dict[str, float] | None = None,
-) -> dict[str, float]:
-    """Partial scores per doc for one term."""
-    boosts = boosts if boosts is not None else DEFAULT_BOOSTS
-    w_idf = idf(index, term) ** 2
-    scores: dict[str, float] = {}
-    for p in index.postings.get(term, []):
-        boost = boosts.get(p.field, 1.0)
-        length = index.field_lengths.get((p.doc_id, p.field), 1) or 1
-        partial = math.sqrt(p.tf) * w_idf * boost / math.sqrt(length)
-        scores[p.doc_id] = scores.get(p.doc_id, 0.0) + partial
-    return scores
+def score_term(index: InvertedIndex, term: str) -> dict[str, float]:
+    """Partial scores per doc for one term, under :data:`DEFAULT_BOOSTS`.
+
+    The index computes them once per generation; the caller always gets
+    its own copy.
+    """
+    scores = index.score_cache.get(term)
+    if scores is None:
+        w_idf = idf(index, term) ** 2
+        scores = index.score_cache[term] = {}
+        for p in index.postings.get(term, []):
+            boost = DEFAULT_BOOSTS.get(p.field, 1.0)
+            length = index.field_lengths.get((p.doc_id, p.field), 1) or 1
+            partial = math.sqrt(p.tf) * w_idf * boost / math.sqrt(length)
+            scores[p.doc_id] = scores.get(p.doc_id, 0.0) + partial
+    return dict(scores)
 
 
 def combine(*term_scores: dict[str, float]) -> dict[str, float]:

@@ -122,10 +122,8 @@ def more_like_this(index: InvertedIndex, doc_id: str, *, limit: int = 5,
     if doc is None:
         raise SearchError(f"no document {doc_id!r}")
     weights: dict[str, float] = {}
-    for term, postings in index.postings.items():
-        for p in postings:
-            if p.doc_id == doc_id:
-                weights[term] = weights.get(term, 0.0) + p.tf * idf(index, term)
+    for term, tf in index.forward(doc_id):
+        weights[term] = weights.get(term, 0.0) + tf * idf(index, term)
     top = sorted(weights, key=lambda t: (-weights[t], t))[:max_terms]
     if not top:
         return []

@@ -415,6 +415,10 @@ class Engine:
         Fire-and-forget by design: there is nothing to cancel, so a
         callback that may be stopped should check its owner's flag and
         simply decline to reschedule (see the DataNode heartbeat loop).
+        A timer that a later one may supersede passes a token instead
+        and returns when it is stale: the network's flow-completion
+        timer (``Network._on_timer``) compares its token with the one
+        the latest rate change armed.
         """
         if delay < 0:
             raise SimulationError(f"negative call_later delay: {delay}")

@@ -32,6 +32,7 @@ from ..fusehdfs import HdfsMount
 from ..hardware import Cluster
 from ..hdfs import Hdfs
 from ..search import (
+    QUERY_COST,
     Document,
     Page,
     SearchEngine,
@@ -458,7 +459,7 @@ class VideoPortal:
                 raise HttpError(400, "page and per_page must be integers") from None
             if page_num < 1 or not 1 <= per_page <= 100:
                 raise HttpError(400, "page must be >= 1, per_page in [1, 100]")
-            yield self.engine.timeout(0.01)  # query cost (index in memory)
+            yield self.engine.timeout(QUERY_COST)
             with self.tracer.span("search.query", source="search", query=q):
                 result_page = paginate(self.search.index, q, page=page_num,
                                        per_page=per_page)
@@ -797,18 +798,8 @@ class VideoPortal:
     def _unindex(self, video_id: int) -> None:
         """Drop a document from the live search index (re-crawl re-adds)."""
         doc_id = f"video-{video_id}"
-        index = self.search.index
-        if doc_id not in index.docs:
-            return
-        del index.docs[doc_id]
-        for term in list(index.postings):
-            index.postings[term] = [
-                p for p in index.postings[term] if p.doc_id != doc_id]
-            if not index.postings[term]:
-                del index.postings[term]
-        for key in list(index.field_lengths):
-            if key[0] == doc_id:
-                del index.field_lengths[key]
+        if doc_id in self.search.index.docs:
+            self.search.index.remove(doc_id)
 
     # -- comments / flags / admin -----------------------------------------------------------
 

@@ -176,6 +176,29 @@ class TestSearchUx:
         assert vids[0] not in related_ids
         assert related_ids <= set(vids)
 
+    def test_delete_drops_video_from_cached_search_and_related(self):
+        cluster, portal, session, vids = self.setup_portal_with_corpus()
+
+        def get(path, **params):
+            return cluster.run(cluster.engine.process(portal.request(
+                "GET", path, params=params)))
+
+        # warm the index's result caches for both routes
+        assert get("/search", q="nobody").body["total_hits"] == 12
+        related = [v["id"] for v in get(f"/video/{vids[0]}").body["related"]]
+        assert len(related) == 4
+        doomed = related[0]
+        r = cluster.run(cluster.engine.process(portal.request(
+            "POST", f"/video/{doomed}/delete", session=session)))
+        assert r.ok
+        # total_hits counts index hits before the database status filter
+        page = get("/search", q="nobody", per_page=20).body
+        assert page["total_hits"] == 11
+        assert doomed not in {v["id"] for v in page["results"]}
+        related = [v["id"] for v in get(f"/video/{vids[0]}").body["related"]]
+        assert len(related) == 4
+        assert doomed not in related
+
 
 class TestMultiRendition:
     def test_full_ladder_published(self):
